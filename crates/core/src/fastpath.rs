@@ -210,8 +210,9 @@ impl FastPath {
     /// function of the request — identical requests are always either
     /// both audited or both not, preserving response determinism — while
     /// distinct requests spread uniformly over the percentage buckets.
-    /// `pct >= 100` audits everything, `0` nothing.
-    pub fn audit_due(key: &str, pct: u32) -> bool {
+    /// `pct >= 100` audits everything, `0` nothing. The service passes
+    /// its byte request keys; any byte string works.
+    pub fn audit_due(key: impl AsRef<[u8]>, pct: u32) -> bool {
         if pct >= 100 {
             return true;
         }
@@ -219,7 +220,7 @@ impl FastPath {
             return false;
         }
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in key.as_bytes() {
+        for b in key.as_ref() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -337,7 +338,7 @@ mod tests {
         }
         // Roughly uniform: at 50% a few thousand keys split near half.
         let hits = (0..4000)
-            .filter(|i| FastPath::audit_due(&format!("key-{i}"), 50))
+            .filter(|i| FastPath::audit_due(format!("key-{i}"), 50))
             .count();
         assert!((1600..=2400).contains(&hits), "50% sampled {hits}/4000");
     }

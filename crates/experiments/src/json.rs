@@ -4,8 +4,14 @@
 //! Grown out of the benchmark-snapshot validator and shared by everything
 //! in the workspace that speaks JSON without a serde dependency: the
 //! snapshot schema check, the audit report emitter and the `dls-serve`
-//! request/response codec. The canonical form is what the service hashes
-//! for its plan cache and what the round-trip tests pin.
+//! request/response codec. The canonical form is what the round-trip
+//! tests pin; the service keys its caches on bytes written from decoded
+//! requests instead.
+//!
+//! The parser refuses documents nested deeper than [`MAX_DEPTH`], so a
+//! hostile body cannot overflow the stack of the thread parsing it, and
+//! every recursive walk over a parsed value ([`Json::all_finite`],
+//! [`Json::canonical`], drop) is bounded too.
 
 /// A parsed JSON value. Object fields preserve their source order;
 /// [`Json::canonical`] sorts them on output so two objects with the same
@@ -168,9 +174,15 @@ pub fn json_num(x: f64) -> String {
     }
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. Every
+/// document this workspace reads nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -178,7 +190,20 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
+    }
+
+    /// Parse an array or object one level deeper, refusing to nest past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn error(&self, msg: &str) -> String {
@@ -211,8 +236,8 @@ impl<'a> Parser<'a> {
     fn parse_value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b't') => self.parse_lit("true", Json::Bool(true)),
             Some(b'f') => self.parse_lit("false", Json::Bool(false)),
@@ -387,6 +412,28 @@ mod tests {
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("{'a': 1}").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    fn arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    fn objects(depth: usize) -> String {
+        "{\"a\":".repeat(depth) + "1" + &"}".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        for nest in [arrays, objects] {
+            assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+            let e = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(e.contains("nesting deeper than 128"), "{e}");
+        }
+        // Depth is nesting, not the number of containers: siblings reset it.
+        let wide = format!("[{}]", vec![arrays(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse_json(&wide).is_ok());
+        // A hostile body fails fast instead of overflowing the stack.
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -182,6 +182,43 @@ impl UmrOracle {
     pub fn schedule(&self) -> &UmrSchedule {
         &self.schedule
     }
+
+    /// How long the `k`-th served worker of a round (1-based) waits for
+    /// its chunks in total, beyond the no-idle timeline. A worker that
+    /// never waits finishes at its round-0 arrival plus all its compute;
+    /// one that waits finishes at the latest of `arrival_j + Σ_{l≥j}
+    /// (cLat + c_l/S)` over rounds `j`. The planner absorbs the chunk
+    /// sum's rounding residual into the last round, and on degenerate
+    /// optima (`cLat = 0`, `chunk_0` within 1e-12 of the recursion's fixed
+    /// point) the recursion amplifies that residual to ~1e-3 units, so the
+    /// final chunk reaches the last worker after it ran out of work.
+    fn idle(&self, k: f64) -> f64 {
+        let inputs = *self.schedule.inputs();
+        let n = inputs.n as f64;
+        let compute = |c: f64| inputs.comp_latency + c / inputs.speed;
+        let chunks = self.schedule.round_chunks();
+        let mut tail: f64 = chunks.iter().map(|&c| compute(c)).sum();
+        let mut dispatch_start = 0.0;
+        let mut no_idle = None;
+        let mut finish = f64::NEG_INFINITY;
+        for &c in chunks {
+            let arrival = dispatch_start
+                + k * (inputs.net_latency + c / inputs.bandwidth)
+                + inputs.transfer_latency;
+            no_idle.get_or_insert(arrival + tail);
+            finish = finish.max(arrival + tail);
+            dispatch_start += n * (inputs.net_latency + c / inputs.bandwidth);
+            tail -= compute(c);
+        }
+        finish - no_idle.unwrap_or(finish)
+    }
+
+    /// True when the `k`-th served worker waits longer than
+    /// [`LOWER_BOUND_REL_TOL`] of the makespan: far above rounding, far
+    /// below the [`EXACT_REL_TOL`] an exact claim promises.
+    fn waits(&self, k: f64) -> bool {
+        self.idle(k) > LOWER_BOUND_REL_TOL * self.schedule.predicted_makespan()
+    }
 }
 
 impl Oracle for UmrOracle {
@@ -194,10 +231,21 @@ impl Oracle for UmrOracle {
         inputs.n as f64 * self.schedule.round_chunks().iter().sum::<f64>()
     }
 
+    /// Eq. 16 assumes the last-served worker never waits for a chunk.
+    /// When the solved schedule breaks that (see [`UmrOracle::idle`]),
+    /// the engine finishes later and Eq. 16 is only a lower bound.
     fn makespan(&self) -> Prediction {
-        Prediction::Exact {
-            makespan: self.schedule.predicted_makespan(),
-            rel_tol: EXACT_REL_TOL,
+        let makespan = self.schedule.predicted_makespan();
+        if self.waits(self.schedule.inputs().n as f64) {
+            Prediction::LowerBound {
+                makespan,
+                rel_tol: LOWER_BOUND_REL_TOL,
+            }
+        } else {
+            Prediction::Exact {
+                makespan,
+                rel_tol: EXACT_REL_TOL,
+            }
         }
     }
 
@@ -206,9 +254,13 @@ impl Oracle for UmrOracle {
     /// `(i+1)·(nLat + c_0/B) + tLat` and then computes without idling, so
     /// its round-`j` compute end is that arrival plus
     /// `Σ_{k≤j} (cLat + c_k/S)`. The last worker's final-round finish is
-    /// exactly Eq. 16's makespan.
+    /// exactly Eq. 16's makespan. `None` when the first- or last-served
+    /// worker waits for a chunk, since the timeline then no longer holds.
     fn round_timeline(&self) -> Option<Vec<RoundTiming>> {
         let inputs = *self.schedule.inputs();
+        if self.waits(1.0) || self.waits(inputs.n as f64) {
+            return None;
+        }
         let chunks = self.schedule.round_chunks();
         let n = inputs.n as f64;
         let mut timeline = Vec::with_capacity(chunks.len());
@@ -595,6 +647,45 @@ mod tests {
             last.last_finish
         );
         assert!(matches!(oracle.makespan(), Prediction::Exact { .. }));
+    }
+
+    /// With `cLat = 0` the optimum sits on the chunk recursion's fixed
+    /// point, and the last round absorbs a rounding residual of ~1e-3
+    /// units. The last worker then waits `N·δ/B` for its final chunk: the
+    /// oracle must measure that wait, withdraw its exact claim and its
+    /// timeline, and still bound the engine from below.
+    #[test]
+    fn umr_oracle_sees_the_last_worker_wait() {
+        use dls_sim::{simulate, ErrorInjector, ErrorModel, SimConfig};
+        for (ratio, w_total) in [(1.6, 1759.447), (2.0, 987.048)] {
+            let p = HomogeneousParams::table1(10, ratio, 0.0, 0.1)
+                .build()
+                .unwrap();
+            let mut umr = Umr::new(&p, w_total).unwrap();
+            let oracle = UmrOracle::new(umr.schedule().clone());
+            let engine = simulate(
+                &p,
+                &mut umr,
+                ErrorInjector::new(ErrorModel::None, 0),
+                SimConfig::default(),
+            )
+            .unwrap()
+            .makespan;
+            let eq16 = oracle.schedule().predicted_makespan();
+            let waited = oracle.idle(10.0);
+            assert!(waited > 1e-4, "r={ratio}: waited {waited}");
+            assert!(
+                (eq16 + waited - engine).abs() < 1e-9 * engine,
+                "r={ratio}: Eq. 16 {eq16} + wait {waited} vs engine {engine}"
+            );
+            assert!(matches!(oracle.makespan(), Prediction::LowerBound { .. }));
+            assert!(oracle.makespan().within(engine));
+            assert!(oracle.round_timeline().is_none());
+        }
+        // A regular Table 1 point waits for nothing.
+        let umr = Umr::new(&platform(10, 0.2, 0.1), 1000.0).unwrap();
+        let oracle = UmrOracle::new(umr.schedule().clone());
+        assert!(oracle.idle(1.0).abs() < 1e-9 && oracle.idle(10.0).abs() < 1e-9);
     }
 
     #[test]

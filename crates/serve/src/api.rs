@@ -2,17 +2,22 @@
 //!
 //! Everything the wire speaks maps onto the core types: a `/plan` body
 //! decodes to a [`PlanRequest`], a `/simulate` body to a
-//! [`SimulateRequest`] (a [`Scenario`] plus a [`RunSpec`]). Encoding and
-//! decoding are inverses over the supported surface, and
-//! [`Json::canonical`] of an encoded request is the service's cache key —
-//! the pinned round-trip tests in this module keep that contract honest.
+//! [`SimulateRequest`] (a [`Scenario`] plus a [`RunSpec`]).
+//!
+//! The service's cache keys, audit sampling input and shard routing key
+//! are byte keys written straight from the decoded request (see
+//! [`PlanRequest::cache_key`] and [`SimulateRequest::canonical`]): a tag
+//! byte per variant and `to_bits` per number, no JSON rebuilt. They
+//! identify requests exactly as the canonical JSON of the re-encoded
+//! request (sorted keys, shorthand expanded) would; the test-only
+//! reference encoders in `api/reference.rs` pin that equivalence.
 //!
 //! Decoders are tolerant of omitted optional fields (they fall back to the
 //! same defaults the Rust builders use) and strict about types: a field of
 //! the wrong JSON type is a 400, not a silent default.
 
 use dls_experiments::json::{parse_json, Json};
-use rumr::sim::FaultAction;
+use rumr::sim::{FaultAction, FaultEvent, TemporalNoise};
 use rumr::{
     ErrorModel, FaultModel, FaultPlan, HomogeneousParams, MultiJob, MultiPolicy, MultiRunSpec,
     Platform, PoissonFaults, QueueBackend, RecoveryConfig, RumrConfig, RunSpec, Scenario,
@@ -31,6 +36,9 @@ impl std::fmt::Display for ApiError {
 }
 
 impl std::error::Error for ApiError {}
+
+#[cfg(test)]
+mod reference;
 
 /// The exact message produced when a request body contains a non-finite
 /// number. The server maps this — and only this — decode failure to `422
@@ -114,35 +122,9 @@ fn str_field<'a>(obj: &'a Json, key: &str) -> Result<&'a str, ApiError> {
     }
 }
 
-fn opt_json_num(x: Option<f64>) -> Json {
-    match x {
-        Some(v) => Json::Num(v),
-        None => Json::Null,
-    }
-}
-
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // Scheduler
 // ---------------------------------------------------------------------------
-
-fn rumr_config_fields(c: &RumrConfig) -> Vec<(&'static str, Json)> {
-    vec![
-        ("error_estimate", opt_json_num(c.error_estimate)),
-        ("phase1_fraction", opt_json_num(c.phase1_fraction)),
-        ("out_of_order", Json::Bool(c.out_of_order)),
-        ("factor", Json::Num(c.factor)),
-        ("error_aware_bound", Json::Bool(c.error_aware_bound)),
-    ]
-}
 
 fn decode_rumr_config(v: &Json) -> Result<RumrConfig, ApiError> {
     let defaults = RumrConfig::default();
@@ -155,51 +137,7 @@ fn decode_rumr_config(v: &Json) -> Result<RumrConfig, ApiError> {
     })
 }
 
-/// Encode a [`SchedulerKind`] as `{"kind": "...", ...params}`. RUMR
-/// variants always carry their full configuration so the encoding is
-/// self-contained.
-pub fn encode_scheduler(kind: &SchedulerKind) -> Json {
-    let mut fields: Vec<(&str, Json)>;
-    match kind {
-        SchedulerKind::Rumr(c) => {
-            fields = vec![("kind", Json::Str("rumr".into()))];
-            fields.extend(rumr_config_fields(c));
-        }
-        SchedulerKind::HetRumr(c) => {
-            fields = vec![("kind", Json::Str("het_rumr".into()))];
-            fields.extend(rumr_config_fields(c));
-        }
-        SchedulerKind::Umr => fields = vec![("kind", Json::Str("umr".into()))],
-        SchedulerKind::Mi { installments } => {
-            fields = vec![
-                ("kind", Json::Str("mi".into())),
-                ("installments", Json::Num(*installments as f64)),
-            ]
-        }
-        SchedulerKind::Factoring => fields = vec![("kind", Json::Str("factoring".into()))],
-        SchedulerKind::Fsc { error } => {
-            fields = vec![
-                ("kind", Json::Str("fsc".into())),
-                ("error", Json::Num(*error)),
-            ]
-        }
-        SchedulerKind::EqualStatic => fields = vec![("kind", Json::Str("equal_static".into()))],
-        SchedulerKind::SelfScheduling { unit } => {
-            fields = vec![
-                ("kind", Json::Str("self_scheduling".into())),
-                ("unit", Json::Num(*unit)),
-            ]
-        }
-        SchedulerKind::HetUmr => fields = vec![("kind", Json::Str("het_umr".into()))],
-        SchedulerKind::AdaptiveRumr => fields = vec![("kind", Json::Str("adaptive_rumr".into()))],
-        SchedulerKind::OneRound => fields = vec![("kind", Json::Str("one_round".into()))],
-        SchedulerKind::Gss => fields = vec![("kind", Json::Str("gss".into()))],
-        SchedulerKind::Tss => fields = vec![("kind", Json::Str("tss".into()))],
-    }
-    obj(fields)
-}
-
-/// Decode a scheduler object (see [`encode_scheduler`] for the shape).
+/// Decode a scheduler object: `{"kind": "...", ...params}`.
 pub fn decode_scheduler(v: &Json) -> Result<SchedulerKind, ApiError> {
     match str_field(v, "kind")? {
         "rumr" => Ok(SchedulerKind::Rumr(decode_rumr_config(v)?)),
@@ -228,25 +166,6 @@ pub fn decode_scheduler(v: &Json) -> Result<SchedulerKind, ApiError> {
 // ---------------------------------------------------------------------------
 // Platform and error model
 // ---------------------------------------------------------------------------
-
-/// Encode a platform as its explicit worker list (the canonical form; the
-/// `homogeneous` request shorthand expands to this).
-pub fn encode_platform(platform: &Platform) -> Json {
-    let workers = platform
-        .workers()
-        .iter()
-        .map(|w| {
-            obj(vec![
-                ("speed", Json::Num(w.speed)),
-                ("bandwidth", Json::Num(w.bandwidth)),
-                ("comp_latency", Json::Num(w.comp_latency)),
-                ("net_latency", Json::Num(w.net_latency)),
-                ("transfer_latency", Json::Num(w.transfer_latency)),
-            ])
-        })
-        .collect();
-    obj(vec![("workers", Json::Arr(workers))])
-}
 
 /// Decode a platform: either `{"workers": [...]}` (explicit) or
 /// `{"homogeneous": {"n", "ratio", "comp_latency", "net_latency"}}` (the
@@ -286,21 +205,6 @@ pub fn decode_platform(v: &Json) -> Result<Platform, ApiError> {
     Platform::new(specs).map_err(|e| ApiError(format!("platform: {e}")))
 }
 
-/// Encode an error model as `{"kind": "...", "error": x}`.
-pub fn encode_error_model(model: &ErrorModel) -> Json {
-    let (kind, error) = match model {
-        ErrorModel::None => ("none", None),
-        ErrorModel::TruncatedNormal { error } => ("normal", Some(*error)),
-        ErrorModel::TruncatedNormalInverse { error } => ("inverse", Some(*error)),
-        ErrorModel::Uniform { error } => ("uniform", Some(*error)),
-    };
-    let mut fields = vec![("kind", Json::Str(kind.into()))];
-    if let Some(e) = error {
-        fields.push(("error", Json::Num(e)));
-    }
-    obj(fields)
-}
-
 /// Decode an error model; a missing `error` field means 0 and `kind:
 /// "none"` ignores it.
 pub fn decode_error_model(v: &Json) -> Result<ErrorModel, ApiError> {
@@ -318,17 +222,6 @@ pub fn decode_error_model(v: &Json) -> Result<ErrorModel, ApiError> {
 // Faults, recovery, SimConfig, RunSpec
 // ---------------------------------------------------------------------------
 
-fn encode_fault_action(action: FaultAction) -> Json {
-    Json::Str(
-        match action {
-            FaultAction::Down => "down",
-            FaultAction::Up => "up",
-            FaultAction::LinkDrop => "link_drop",
-        }
-        .into(),
-    )
-}
-
 fn decode_fault_action(s: &str) -> Result<FaultAction, ApiError> {
     match s {
         "down" => Ok(FaultAction::Down),
@@ -338,40 +231,8 @@ fn decode_fault_action(s: &str) -> Result<FaultAction, ApiError> {
     }
 }
 
-/// Encode a fault model as a tagged object (`kind`: `none` / `plan` /
-/// `poisson`).
-pub fn encode_fault_model(model: &FaultModel) -> Json {
-    match model {
-        FaultModel::None => obj(vec![("kind", Json::Str("none".into()))]),
-        FaultModel::Plan(plan) => {
-            let events = plan
-                .events()
-                .iter()
-                .map(|e| {
-                    obj(vec![
-                        ("time", Json::Num(e.time)),
-                        ("worker", Json::Num(e.worker as f64)),
-                        ("action", encode_fault_action(e.action)),
-                    ])
-                })
-                .collect();
-            obj(vec![
-                ("kind", Json::Str("plan".into())),
-                ("events", Json::Arr(events)),
-            ])
-        }
-        FaultModel::Poisson(p) => obj(vec![
-            ("kind", Json::Str("poisson".into())),
-            ("mttf", Json::Num(p.mttf)),
-            ("mttr", opt_json_num(p.mttr)),
-            ("link_mtbf", opt_json_num(p.link_mtbf)),
-            ("horizon", Json::Num(p.horizon)),
-            ("seed", Json::Num(p.seed as f64)),
-        ]),
-    }
-}
-
-/// Decode a fault model (see [`encode_fault_model`]).
+/// Decode a fault model: a tagged object (`kind`: `none` / `plan` with
+/// `events` / `poisson`).
 pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
     match str_field(v, "kind")? {
         "none" => Ok(FaultModel::None),
@@ -412,24 +273,6 @@ pub fn decode_fault_model(v: &Json) -> Result<FaultModel, ApiError> {
     }
 }
 
-/// Encode a recovery policy with all fields explicit.
-pub fn encode_recovery(r: &RecoveryConfig) -> Json {
-    obj(vec![
-        ("initial_backoff", Json::Num(r.initial_backoff)),
-        ("backoff_factor", Json::Num(r.backoff_factor)),
-        ("factor", Json::Num(r.factor)),
-        ("min_chunk", Json::Num(r.min_chunk)),
-        (
-            "divergence_threshold",
-            r.divergence_threshold.map_or(Json::Null, Json::Num),
-        ),
-        (
-            "divergence_min_samples",
-            Json::Num(r.divergence_min_samples as f64),
-        ),
-    ])
-}
-
 /// Decode a recovery policy; missing fields take the Rust defaults, and
 /// the literal `true` selects the defaults wholesale.
 pub fn decode_recovery(v: &Json) -> Result<RecoveryConfig, ApiError> {
@@ -461,35 +304,8 @@ pub fn decode_recovery(v: &Json) -> Result<RecoveryConfig, ApiError> {
     })
 }
 
-/// Encode a speed-revelation model as a tagged object (`kind`: `declared`
-/// / `stochastic` / `sandbag` / `adversarial`).
-pub fn encode_speed_model(model: &SpeedModel) -> Json {
-    match *model {
-        SpeedModel::Declared => obj(vec![("kind", Json::Str("declared".into()))]),
-        SpeedModel::Stochastic { spread, seed } => obj(vec![
-            ("kind", Json::Str("stochastic".into())),
-            ("spread", Json::Num(spread)),
-            ("seed", Json::Num(seed as f64)),
-        ]),
-        SpeedModel::Sandbagged {
-            fraction,
-            slowdown,
-            seed,
-        } => obj(vec![
-            ("kind", Json::Str("sandbag".into())),
-            ("fraction", Json::Num(fraction)),
-            ("slowdown", Json::Num(slowdown)),
-            ("seed", Json::Num(seed as f64)),
-        ]),
-        SpeedModel::Adversarial { fraction, slowdown } => obj(vec![
-            ("kind", Json::Str("adversarial".into())),
-            ("fraction", Json::Num(fraction)),
-            ("slowdown", Json::Num(slowdown)),
-        ]),
-    }
-}
-
-/// Decode a speed-revelation model (see [`encode_speed_model`]).
+/// Decode a speed-revelation model: a tagged object (`kind`: `declared` /
+/// `stochastic` / `sandbag` / `adversarial`).
 pub fn decode_speed_model(v: &Json) -> Result<SpeedModel, ApiError> {
     let model = match str_field(v, "kind")? {
         "declared" | "identity" => SpeedModel::Declared,
@@ -529,14 +345,6 @@ pub fn decode_speed_model(v: &Json) -> Result<SpeedModel, ApiError> {
     Ok(model)
 }
 
-fn trace_mode_name(mode: TraceMode) -> &'static str {
-    match mode {
-        TraceMode::Off => "off",
-        TraceMode::MetricsOnly => "metrics",
-        TraceMode::Full => "full",
-    }
-}
-
 fn decode_trace_mode(s: &str) -> Result<TraceMode, ApiError> {
     match s {
         "off" => Ok(TraceMode::Off),
@@ -544,27 +352,6 @@ fn decode_trace_mode(s: &str) -> Result<TraceMode, ApiError> {
         "full" => Ok(TraceMode::Full),
         other => err(format!("unknown trace mode '{other}'")),
     }
-}
-
-/// Encode an engine configuration with every field explicit.
-pub fn encode_sim_config(c: &SimConfig) -> Json {
-    obj(vec![
-        (
-            "trace_mode",
-            Json::Str(trace_mode_name(c.trace_mode).into()),
-        ),
-        ("max_events", Json::Num(c.max_events as f64)),
-        (
-            "max_concurrent_sends",
-            Json::Num(c.max_concurrent_sends as f64),
-        ),
-        ("uplink_capacity", opt_json_num(c.uplink_capacity)),
-        ("output_ratio", Json::Num(c.output_ratio)),
-        ("faults", encode_fault_model(&c.faults)),
-        ("queue", Json::Str(c.queue_backend.name().into())),
-        ("audit", Json::Bool(c.audit)),
-        ("speeds", encode_speed_model(&c.speeds)),
-    ])
 }
 
 /// Decode an engine configuration; missing fields take
@@ -607,24 +394,6 @@ pub fn decode_sim_config(v: &Json) -> Result<SimConfig, ApiError> {
     })
 }
 
-/// Encode a [`RunSpec`] (without any attached prototype — that is derived
-/// state, not wire state).
-pub fn encode_run_spec(spec: &RunSpec) -> Json {
-    obj(vec![
-        ("scheduler", encode_scheduler(&spec.kind)),
-        ("seed", Json::Num(spec.seed as f64)),
-        ("reps", Json::Num(spec.reps as f64)),
-        ("config", encode_sim_config(&spec.config)),
-        (
-            "recovery",
-            match &spec.recovery {
-                Some(r) => encode_recovery(r),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
 /// Decode a [`RunSpec`]; `seed` defaults to 0, `reps` to 1, `config` to
 /// the engine defaults and `recovery` to off.
 pub fn decode_run_spec(v: &Json) -> Result<RunSpec, ApiError> {
@@ -648,6 +417,298 @@ pub fn decode_run_spec(v: &Json) -> Result<RunSpec, ApiError> {
         Some(r) => spec = spec.recovering(decode_recovery(r)?),
     }
     Ok(spec)
+}
+
+// ---------------------------------------------------------------------------
+// Byte keys
+// ---------------------------------------------------------------------------
+
+/// A byte key written straight from decoded fields: a leading key-kind
+/// tag, one tag byte per enum variant or optional value, every number as
+/// its little-endian `to_bits`, and a count before every list. The
+/// layout is prefix-free, so two values share a key exactly when all
+/// their fields are bitwise equal. Decoding parses every number to a
+/// finite `f64` and Rust's shortest `{}` float form is injective on those
+/// bits, so byte keys identify requests exactly as their canonical JSON
+/// (sorted keys, shorthand expanded) did.
+///
+/// Each writer destructures its type without `..`, so a field added to
+/// a keyed type does not compile until it is keyed (or explicitly
+/// skipped, like the derived `RunSpec::prototype`).
+struct Key(Vec<u8>);
+
+impl Key {
+    fn with_tag(tag: u8) -> Self {
+        let mut bytes = Vec::with_capacity(128);
+        bytes.push(tag);
+        Key(bytes)
+    }
+
+    fn tag(&mut self, tag: u8) -> &mut Self {
+        self.0.push(tag);
+        self
+    }
+
+    fn int(&mut self, x: u64) -> &mut Self {
+        self.0.extend_from_slice(&x.to_le_bytes());
+        self
+    }
+
+    fn num(&mut self, x: f64) -> &mut Self {
+        self.int(x.to_bits())
+    }
+
+    fn opt(&mut self, x: Option<f64>) -> &mut Self {
+        match x {
+            None => self.tag(0),
+            Some(x) => self.tag(1).num(x),
+        }
+    }
+
+    fn flag(&mut self, b: bool) -> &mut Self {
+        self.tag(u8::from(b))
+    }
+
+    fn list(&mut self, xs: &[f64]) -> &mut Self {
+        self.int(xs.len() as u64);
+        for &x in xs {
+            self.num(x);
+        }
+        self
+    }
+
+    /// A platform of identical workers (every Table 1 platform, spelled
+    /// as shorthand or as an explicit list) keys as its size and one
+    /// worker; any other platform as its full worker list.
+    fn platform(&mut self, platform: &Platform) -> &mut Self {
+        let workers = platform.workers();
+        match workers {
+            [first, rest @ ..] if rest.iter().all(|w| worker_bits(w) == worker_bits(first)) => {
+                self.tag(0).int(workers.len() as u64).worker(first)
+            }
+            _ => {
+                self.tag(1).int(workers.len() as u64);
+                for w in workers {
+                    self.worker(w);
+                }
+                self
+            }
+        }
+    }
+
+    fn worker(&mut self, w: &WorkerSpec) -> &mut Self {
+        for bits in worker_bits(w) {
+            self.int(bits);
+        }
+        self
+    }
+
+    fn scheduler(&mut self, kind: &SchedulerKind) -> &mut Self {
+        match *kind {
+            SchedulerKind::Rumr(c) => self.tag(0).rumr(&c),
+            SchedulerKind::HetRumr(c) => self.tag(1).rumr(&c),
+            SchedulerKind::Umr => self.tag(2),
+            SchedulerKind::Mi { installments } => self.tag(3).int(installments as u64),
+            SchedulerKind::Factoring => self.tag(4),
+            SchedulerKind::Fsc { error } => self.tag(5).num(error),
+            SchedulerKind::EqualStatic => self.tag(6),
+            SchedulerKind::SelfScheduling { unit } => self.tag(7).num(unit),
+            SchedulerKind::HetUmr => self.tag(8),
+            SchedulerKind::AdaptiveRumr => self.tag(9),
+            SchedulerKind::OneRound => self.tag(10),
+            SchedulerKind::Gss => self.tag(11),
+            SchedulerKind::Tss => self.tag(12),
+        }
+    }
+
+    fn rumr(&mut self, c: &RumrConfig) -> &mut Self {
+        let RumrConfig {
+            error_estimate,
+            phase1_fraction,
+            out_of_order,
+            factor,
+            error_aware_bound,
+        } = *c;
+        self.opt(error_estimate)
+            .opt(phase1_fraction)
+            .flag(out_of_order)
+            .num(factor)
+            .flag(error_aware_bound)
+    }
+
+    fn error_model(&mut self, model: &ErrorModel) -> &mut Self {
+        match *model {
+            ErrorModel::None => self.tag(0),
+            ErrorModel::TruncatedNormal { error } => self.tag(1).num(error),
+            ErrorModel::TruncatedNormalInverse { error } => self.tag(2).num(error),
+            ErrorModel::Uniform { error } => self.tag(3).num(error),
+        }
+    }
+
+    fn scenario(&mut self, scenario: &Scenario) -> &mut Self {
+        let Scenario {
+            platform,
+            w_total,
+            error_model,
+            cost_profile,
+            temporal_noise,
+        } = scenario;
+        self.num(*w_total).error_model(error_model);
+        match cost_profile {
+            None => self.tag(0),
+            Some(p) => self.tag(1).list(p.prefix_costs()),
+        };
+        match temporal_noise {
+            None => self.tag(0),
+            Some(TemporalNoise { rho, sigma }) => self.tag(1).num(*rho).num(*sigma),
+        };
+        self.platform(platform)
+    }
+
+    fn faults(&mut self, model: &FaultModel) -> &mut Self {
+        match model {
+            FaultModel::None => self.tag(0),
+            FaultModel::Plan(plan) => {
+                self.tag(1).int(plan.events().len() as u64);
+                for &FaultEvent {
+                    time,
+                    worker,
+                    action,
+                } in plan.events()
+                {
+                    self.num(time).int(worker as u64).tag(match action {
+                        FaultAction::Down => 0,
+                        FaultAction::Up => 1,
+                        FaultAction::LinkDrop => 2,
+                    });
+                }
+                self
+            }
+            FaultModel::Poisson(PoissonFaults {
+                mttf,
+                mttr,
+                link_mtbf,
+                horizon,
+                seed,
+            }) => self
+                .tag(2)
+                .num(*mttf)
+                .opt(*mttr)
+                .opt(*link_mtbf)
+                .num(*horizon)
+                .int(*seed),
+        }
+    }
+
+    fn speeds(&mut self, model: &SpeedModel) -> &mut Self {
+        match *model {
+            SpeedModel::Declared => self.tag(0),
+            SpeedModel::Stochastic { spread, seed } => self.tag(1).num(spread).int(seed),
+            SpeedModel::Sandbagged {
+                fraction,
+                slowdown,
+                seed,
+            } => self.tag(2).num(fraction).num(slowdown).int(seed),
+            SpeedModel::Adversarial { fraction, slowdown } => {
+                self.tag(3).num(fraction).num(slowdown)
+            }
+        }
+    }
+
+    fn sim_config(&mut self, config: &SimConfig) -> &mut Self {
+        let SimConfig {
+            trace_mode,
+            max_events,
+            max_concurrent_sends,
+            uplink_capacity,
+            output_ratio,
+            faults,
+            queue_backend,
+            audit,
+            speeds,
+        } = config;
+        self.tag(match trace_mode {
+            TraceMode::Off => 0,
+            TraceMode::MetricsOnly => 1,
+            TraceMode::Full => 2,
+        })
+        .int(*max_events)
+        .int(*max_concurrent_sends as u64)
+        .opt(*uplink_capacity)
+        .num(*output_ratio)
+        .faults(faults)
+        .tag(match queue_backend {
+            QueueBackend::Heap => 0,
+            QueueBackend::Calendar => 1,
+        })
+        .flag(*audit)
+        .speeds(speeds)
+    }
+
+    fn recovery(&mut self, recovery: &Option<RecoveryConfig>) -> &mut Self {
+        let Some(RecoveryConfig {
+            initial_backoff,
+            backoff_factor,
+            factor,
+            min_chunk,
+            divergence_threshold,
+            divergence_min_samples,
+        }) = *recovery
+        else {
+            return self.tag(0);
+        };
+        self.tag(1)
+            .num(initial_backoff)
+            .num(backoff_factor)
+            .num(factor)
+            .num(min_chunk)
+            .opt(divergence_threshold)
+            .int(u64::from(divergence_min_samples))
+    }
+
+    fn run_spec(&mut self, spec: &RunSpec) -> &mut Self {
+        // The prototype is the planner's solve for `kind`: derived state,
+        // not request state.
+        let RunSpec {
+            kind,
+            seed,
+            reps,
+            config,
+            recovery,
+            prototype: _,
+        } = spec;
+        self.scheduler(kind)
+            .int(*seed)
+            .int(*reps)
+            .sim_config(config)
+            .recovery(recovery)
+    }
+}
+
+fn worker_bits(w: &WorkerSpec) -> [u64; 5] {
+    let WorkerSpec {
+        speed,
+        bandwidth,
+        comp_latency,
+        net_latency,
+        transfer_latency,
+    } = *w;
+    [
+        speed,
+        bandwidth,
+        comp_latency,
+        net_latency,
+        transfer_latency,
+    ]
+    .map(f64::to_bits)
+}
+
+/// The plan cache key of a (platform, workload, scheduler) triple, shared
+/// by `/plan` and `/simulate`.
+fn plan_key(platform: &Platform, w_total: f64, kind: &SchedulerKind) -> Vec<u8> {
+    let mut key = Key::with_tag(b'P');
+    key.num(w_total).scheduler(kind).platform(platform);
+    key.0
 }
 
 // ---------------------------------------------------------------------------
@@ -687,16 +748,11 @@ impl PlanRequest {
         })
     }
 
-    /// The canonicalized request — two requests meaning the same plan (any
-    /// field order, the homogeneous shorthand expanded) produce the same
-    /// string. This is the plan cache key.
-    pub fn cache_key(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.platform)),
-            ("scheduler", encode_scheduler(&self.kind)),
-            ("w_total", Json::Num(self.w_total)),
-        ])
-        .canonical()
+    /// The plan cache key: the byte key of (platform, workload,
+    /// scheduler). Two bodies meaning the same plan (any field order, the
+    /// homogeneous shorthand or its explicit worker list) share it.
+    pub fn cache_key(&self) -> Vec<u8> {
+        plan_key(&self.platform, self.w_total, &self.kind)
     }
 }
 
@@ -749,47 +805,33 @@ impl SimulateRequest {
         })
     }
 
-    /// Canonicalized request body (cache/debug identity; `/simulate`
-    /// responses are deterministic in this string).
-    pub fn canonical(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.scenario.platform)),
-            ("w_total", Json::Num(self.scenario.w_total)),
-            (
-                "error_model",
-                encode_error_model(&self.scenario.error_model),
-            ),
-            ("run", encode_run_spec(&self.spec)),
-        ])
-        .canonical()
+    /// The request's byte key: the response-cache key and the audit
+    /// sampling input. `/simulate` responses are deterministic in it.
+    pub fn canonical(&self) -> Vec<u8> {
+        let mut key = Key::with_tag(b'S');
+        key.run_spec(&self.spec).scenario(&self.scenario);
+        key.0
     }
 
-    /// The canonicalized *scenario* (platform + workload + error model,
-    /// without the run spec) — the engine-shard routing key. Two requests
-    /// that run on the same engine state produce the same string, so
-    /// affinity routing sends them to the same shard.
-    pub fn scenario_key(&self) -> String {
-        obj(vec![
-            ("platform", encode_platform(&self.scenario.platform)),
-            ("w_total", Json::Num(self.scenario.w_total)),
-            (
-                "error_model",
-                encode_error_model(&self.scenario.error_model),
-            ),
-        ])
-        .canonical()
+    /// The byte key of the *scenario* alone (platform, workload, error
+    /// model; no run spec): the engine-shard routing key. Requests that
+    /// run on the same engine state share it, so affinity routing sends
+    /// them to the same shard.
+    pub fn scenario_key(&self) -> Vec<u8> {
+        let mut key = Key::with_tag(b'E');
+        key.scenario(&self.scenario);
+        key.0
     }
 
     /// The plan-cache key of this request's (platform, workload,
     /// scheduler) triple — `/simulate` uses it to reuse a prototype planned
     /// by an earlier `/plan`.
-    pub fn plan_key(&self) -> String {
-        PlanRequest {
-            platform: self.scenario.platform.clone(),
-            w_total: self.scenario.w_total,
-            kind: self.spec.kind,
-        }
-        .cache_key()
+    pub fn plan_key(&self) -> Vec<u8> {
+        plan_key(
+            &self.scenario.platform,
+            self.scenario.w_total,
+            &self.spec.kind,
+        )
     }
 }
 
@@ -886,6 +928,7 @@ impl JobsRequest {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::encode_run_spec;
     use super::*;
     use rumr::FaultPlan;
 

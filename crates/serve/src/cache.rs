@@ -1,24 +1,25 @@
-//! Canonical-key LRU caches: the `/plan` prototype cache and the
+//! Byte-keyed LRU caches: the `/plan` prototype cache and the
 //! `/simulate` response cache.
 //!
 //! `/plan` is a pure function of (platform, workload, scheduler), and the
 //! planner solve behind it is the expensive part of a request. The plan
-//! cache stores, per canonical request key, the response body *and* the
+//! cache stores, per request byte key
+//! ([`crate::api::PlanRequest::cache_key`]), the response body *and* the
 //! solved [`SchedulerPrototype`] — so a hit answers `/plan` without
 //! touching the planner, and `/simulate` of a cached (platform, workload,
 //! scheduler) triple skips its planner solve too (prototypes stamp out
 //! fresh schedulers via state clone).
 //!
-//! `/simulate` responses are byte-deterministic in the canonicalized
-//! request (the engine is deterministic in (scenario, spec, seed), and
+//! `/simulate` responses are byte-deterministic in the decoded request
+//! (the engine is deterministic in (scenario, spec, seed), and
 //! the service pins the effective configuration), so caching the whole
 //! response body under [`crate::api::SimulateRequest::canonical`] is
 //! sound: a hit serves exactly the bytes a fresh run would produce.
 //!
-//! Both caches are instances of one thread-safe string-keyed [`LruCache`]
+//! Both caches are instances of one thread-safe byte-keyed [`LruCache`]
 //! with an eviction counter surfaced on `/metrics`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -40,14 +41,16 @@ pub struct CachedPlan {
     pub source: &'static str,
 }
 
-/// The `/plan` cache: canonical request key → prototype + body.
+/// The `/plan` cache: request byte key → prototype + body.
 pub type PlanCache = LruCache<Arc<CachedPlan>>;
 
-/// The `/simulate` response cache: canonical request key → response body.
+/// The `/simulate` response cache: request byte key → response body.
 pub type SimCache = LruCache<Arc<String>>;
 
-/// A thread-safe LRU map from canonical request key to a cheaply
-/// cloneable value.
+/// A thread-safe LRU map from request byte key to a cheaply cloneable
+/// value. Lookups and updates cost a hash plus `O(log capacity)`: entries
+/// carry a recency stamp, and a stamp-ordered index finds the least
+/// recently used one.
 ///
 /// Capacity 0 disables caching (every `get` misses, `insert` is a no-op).
 /// Locks recover from poisoning (see [`crate::sync`]).
@@ -58,9 +61,27 @@ pub struct LruCache<V: Clone> {
 }
 
 struct Inner<V> {
-    map: HashMap<String, V>,
-    /// Keys ordered least-recently-used first.
-    order: Vec<String>,
+    /// Key → value and the stamp of its last use.
+    map: HashMap<Vec<u8>, (V, u64)>,
+    /// Stamp → key, least recently used first.
+    order: BTreeMap<u64, Vec<u8>>,
+    /// The last stamp handed out.
+    clock: u64,
+}
+
+impl<V> Inner<V> {
+    /// Hand out the next stamp.
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// Move the index entry of a key last used at `old` to `stamp`.
+fn restamp(order: &mut BTreeMap<u64, Vec<u8>>, old: u64, stamp: u64) {
+    if let Some(key) = order.remove(&old) {
+        order.insert(stamp, key);
+    }
 }
 
 impl<V: Clone> LruCache<V> {
@@ -69,7 +90,8 @@ impl<V: Clone> LruCache<V> {
         LruCache {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
-                order: Vec::new(),
+                order: BTreeMap::new(),
+                clock: 0,
             }),
             capacity,
             evictions: AtomicU64::new(0),
@@ -77,32 +99,35 @@ impl<V: Clone> LruCache<V> {
     }
 
     /// Look up an entry, marking it most-recently-used on hit.
-    pub fn get(&self, key: &str) -> Option<V> {
-        let mut inner = lock(&self.inner);
-        let hit = inner.map.get(key).cloned()?;
-        if let Some(pos) = inner.order.iter().position(|k| k == key) {
-            let k = inner.order.remove(pos);
-            inner.order.push(k);
-        }
-        Some(hit)
+    pub fn get(&self, key: &[u8]) -> Option<V> {
+        let mut guard = lock(&self.inner);
+        let stamp = guard.tick();
+        let inner = &mut *guard;
+        let (value, last_used) = inner.map.get_mut(key)?;
+        restamp(&mut inner.order, std::mem::replace(last_used, stamp), stamp);
+        Some(value.clone())
     }
 
     /// Insert an entry, evicting the least-recently-used one at capacity.
-    pub fn insert(&self, key: String, value: V) {
+    pub fn insert(&self, key: Vec<u8>, value: V) {
         if self.capacity == 0 {
             return;
         }
-        let mut inner = lock(&self.inner);
-        if inner.map.insert(key.clone(), value).is_none() {
-            inner.order.push(key);
-            if inner.order.len() > self.capacity {
-                let evicted = inner.order.remove(0);
+        let mut guard = lock(&self.inner);
+        let stamp = guard.tick();
+        let inner = &mut *guard;
+        if let Some(entry) = inner.map.get_mut(&key) {
+            restamp(&mut inner.order, entry.1, stamp);
+            *entry = (value, stamp);
+            return;
+        }
+        inner.order.insert(stamp, key.clone());
+        inner.map.insert(key, (value, stamp));
+        if inner.map.len() > self.capacity {
+            if let Some((_, evicted)) = inner.order.pop_first() {
                 inner.map.remove(&evicted);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
-        } else if let Some(pos) = inner.order.iter().position(|k| *k == key) {
-            let k = inner.order.remove(pos);
-            inner.order.push(k);
         }
     }
 
@@ -145,25 +170,25 @@ mod tests {
         let cache = PlanCache::new(2);
         cache.insert("a".into(), plan("a"));
         cache.insert("b".into(), plan("b"));
-        assert!(cache.get("a").is_some()); // refresh "a"; "b" is now LRU
+        assert!(cache.get(b"a").is_some()); // refresh "a"; "b" is now LRU
         cache.insert("c".into(), plan("c"));
-        assert!(cache.get("b").is_none(), "LRU entry should be evicted");
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
+        assert!(cache.get(b"b").is_none(), "LRU entry should be evicted");
+        assert!(cache.get(b"a").is_some());
+        assert!(cache.get(b"c").is_some());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1, "one genuine eviction");
 
         // Re-inserting an existing key is an update, not an eviction.
         cache.insert("a".into(), plan("a2"));
         assert_eq!(cache.evictions(), 1);
-        assert_eq!(cache.get("a").unwrap().body, "a2");
+        assert_eq!(cache.get(b"a").unwrap().body, "a2");
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = PlanCache::new(0);
         cache.insert("a".into(), plan("a"));
-        assert!(cache.get("a").is_none());
+        assert!(cache.get(b"a").is_none());
         assert!(cache.is_empty());
         assert_eq!(cache.evictions(), 0);
     }
@@ -172,9 +197,9 @@ mod tests {
     fn sim_cache_stores_bodies() {
         let cache = SimCache::new(1);
         cache.insert("k1".into(), Arc::new("body-1".to_string()));
-        assert_eq!(cache.get("k1").unwrap().as_str(), "body-1");
+        assert_eq!(cache.get(b"k1").unwrap().as_str(), "body-1");
         cache.insert("k2".into(), Arc::new("body-2".to_string()));
-        assert!(cache.get("k1").is_none());
+        assert!(cache.get(b"k1").is_none());
         assert_eq!(cache.evictions(), 1);
     }
 }

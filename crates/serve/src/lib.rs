@@ -16,11 +16,11 @@
 //! (backpressure: 503 + `Retry-After` when full; accept failures are
 //! counted and retried with backoff), a fixed worker-thread pool serves
 //! persistent HTTP/1.1 connections (keep-alive with in-order pipelining —
-//! see [`http`]), an LRU plan cache keyed by the canonicalized request
-//! (cached plans clone their [`rumr::SchedulerPrototype`] instead of
-//! re-running the planner), a `/simulate` response cache keyed by the
-//! canonical request body (sound because responses are byte-deterministic
-//! in it), and per-core engine shards with scenario-affinity routing so
+//! see [`http`]), an LRU plan cache keyed by the decoded request's byte
+//! key (cached plans clone their [`rumr::SchedulerPrototype`] instead of
+//! re-running the planner), a `/simulate` response cache keyed the same
+//! way (sound because responses are byte-deterministic in the decoded
+//! request), and per-core engine shards with scenario-affinity routing so
 //! same-scenario requests reuse warm [`rumr::ScenarioRunner`] state no
 //! matter which connection carried them. The service consumes only the
 //! unified [`rumr::RunSpec`] API. See `docs/SERVICE.md` for the wire

@@ -700,7 +700,7 @@ type PlanFailure = (u16, &'static str, String);
 /// deterministic model-conforming case the closed forms answer — with the
 /// full-trace engine run as fallback. A configurable sample of analytic
 /// answers is cross-checked against the engine (the sampled DES audit).
-fn build_plan(shared: &Shared, plan: &PlanRequest, key: &str) -> Result<CachedPlan, PlanFailure> {
+fn build_plan(shared: &Shared, plan: &PlanRequest, key: &[u8]) -> Result<CachedPlan, PlanFailure> {
     let prototype = plan
         .kind
         .prototype(&plan.platform, plan.w_total)
@@ -1191,13 +1191,18 @@ fn handle_simulate(shared: &Shared, stream: &mut TcpStream, sim: Box<SimulateReq
     // Analytic fast path: deterministic model-conforming runs with an
     // exact oracle skip the cache and the shards entirely — resolving is
     // microseconds, so caching analytic answers would only pollute the
-    // LRU. Build errors fall through: the shard produces the identical
-    // planner 400 the engine path always has.
-    if let Ok(decision) = FastPath::resolve(&sim.scenario, &sim.spec) {
+    // LRU. Runs the fast path can never take (prediction errors, faults,
+    // revealed speeds, recovery) skip the resolver and its oracle solve,
+    // and count as engine answers. Build errors fall through: the shard
+    // produces the identical planner 400 the engine path always has.
+    let decision = FastPath::eligibility(&sim.scenario, &sim.spec)
+        .ok()
+        .map(|()| FastPath::resolve(&sim.scenario, &sim.spec));
+    if let Some(Ok(decision)) = &decision {
         if let Some(answer) = decision.analytic() {
             shared.metrics.fastpath_analytic();
             test_delay(shared);
-            if FastPath::audit_due(&sim.canonical(), shared.config.fastpath_audit_pct) {
+            if FastPath::audit_due(sim.canonical(), shared.config.fastpath_audit_pct) {
                 shared.metrics.fastpath_audited();
                 let mut audit_spec = sim.spec.clone();
                 audit_spec.config = effective_config(shared, &audit_spec);
@@ -1218,6 +1223,8 @@ fn handle_simulate(shared: &Shared, stream: &mut TcpStream, sim: Box<SimulateReq
                 .observe("/simulate", 200, start.elapsed().as_secs_f64());
             return;
         }
+    }
+    if !matches!(decision, Some(Err(_))) {
         shared.metrics.fastpath_engine();
     }
     let cache_on = shared.config.sim_cache_capacity > 0;

@@ -149,11 +149,11 @@ fn fnv1a(key: &[u8]) -> u64 {
 
 /// The shard a scenario key routes to: a stable function of the key only,
 /// so every worker sends the same scenario to the same shard.
-pub(crate) fn shard_index(key: &str, shards: usize) -> usize {
+pub(crate) fn shard_index(key: &[u8], shards: usize) -> usize {
     if shards <= 1 {
         return 0;
     }
-    (fnv1a(key.as_bytes()) % shards as u64) as usize
+    (fnv1a(key) % shards as u64) as usize
 }
 
 #[cfg(test)]
@@ -163,7 +163,7 @@ mod tests {
     #[test]
     fn shard_index_is_stable_and_in_range() {
         for shards in 1..8 {
-            for key in ["a", "b", "scenario-key", ""] {
+            for key in [&b"a"[..], b"b", b"scenario-key", b""] {
                 let idx = shard_index(key, shards);
                 assert!(idx < shards);
                 assert_eq!(idx, shard_index(key, shards), "routing must be stable");
@@ -171,7 +171,7 @@ mod tests {
         }
         // Distinct keys spread across shards (not all on one).
         let hits: std::collections::BTreeSet<usize> = (0..64)
-            .map(|i| shard_index(&format!("key-{i}"), 4))
+            .map(|i| shard_index(format!("key-{i}").as_bytes(), 4))
             .collect();
         assert!(
             hits.len() > 1,

@@ -455,6 +455,27 @@ fn errors_use_the_unified_payload_shape() {
     server.shutdown();
 }
 
+/// A body of 100 000 `[` once overflowed a worker thread's stack, which
+/// aborted the whole process. Every JSON endpoint must refuse it with a
+/// typed 400, and the server must keep serving.
+#[test]
+fn deeply_nested_bodies_get_a_typed_400_and_the_server_survives() {
+    let server = start(quiet_config());
+    let hostile = "[".repeat(100_000);
+    for path in ["/v1/simulate", "/v1/plan", "/v1/jobs"] {
+        let (status, _, response) = request(server.addr, "POST", path, &hostile);
+        assert_eq!(status, 400, "{path}: {response}");
+        assert!(
+            response.contains("\"code\":\"bad_request\"")
+                && response.contains("nesting deeper than 128 levels"),
+            "{path}: {response}"
+        );
+    }
+    let (status, _, body) = request(server.addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    server.shutdown();
+}
+
 #[test]
 fn fastpath_answers_eligible_requests_analytically() {
     let server = start(ServerConfig {

@@ -52,6 +52,12 @@ impl CostProfile {
         CostProfile { prefix }
     }
 
+    /// The normalized prefix sums: entry `i` is the total cost of units
+    /// `[0, i)`, so the slice has one entry more than the profile's units.
+    pub fn prefix_costs(&self) -> &[f64] {
+        &self.prefix
+    }
+
     /// Number of workload units covered by the profile.
     pub fn total_units(&self) -> f64 {
         (self.prefix.len() - 1) as f64

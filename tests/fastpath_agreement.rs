@@ -190,3 +190,36 @@ fn heterogeneous_fastpath_agrees() {
         }
     }
 }
+
+/// UMR on (N = 10, cLat = 0, nLat = 0.1): a workload where the solved
+/// schedule itself breaks the no-idle timeline the closed form assumes.
+/// Whatever the fast path answers for these runs must agree with the
+/// engine within the oracle's stated contract.
+#[test]
+fn umr_fastpath_agrees_on_zero_comp_latency_grid_points() {
+    for (ratio, w_total) in [(1.6, 1759.447), (2.0, 987.048)] {
+        let mut s = Scenario::table1(10, ratio, 0.0, 0.1, 0.0);
+        s.w_total = w_total;
+        let spec = RunSpec::new(SchedulerKind::Umr);
+        let engine = s.execute(&spec).unwrap();
+        let oracle = SchedulerKind::Umr
+            .oracle(&s.platform, s.w_total)
+            .unwrap()
+            .expect("UMR has an oracle");
+        let prediction = oracle.makespan();
+        assert!(
+            prediction.within(engine.makespan),
+            "r={ratio} W={w_total}: {prediction:?} vs engine {}",
+            engine.makespan
+        );
+        if let Some(answer) = FastPath::resolve(&s, &spec).unwrap().analytic() {
+            assert!(
+                answer.agrees_with(engine.makespan),
+                "r={ratio} W={w_total}: analytic {} vs engine {} (residual {})",
+                answer.makespan,
+                engine.makespan,
+                answer.residual(engine.makespan)
+            );
+        }
+    }
+}
